@@ -1,13 +1,17 @@
 #!/usr/bin/env python
-"""Regenerate the pinned golden numbers in tests/golden/.
+"""Regenerate the pinned golden files in tests/golden/.
 
-Run after an *intentional* timing-model change, then review the diff:
+Run after an *intentional* timing-model or workload-model change, then
+review the diff:
 
     PYTHONPATH=src python scripts/update_golden.py
 
-Every entry is exact integer state (cycles, retired, reissues) from a
-small deterministic run, so any unintended timing change shows up as a
-test failure with a reviewable diff instead of a silent drift.
+``ipc_numbers.json`` holds exact integer state (cycles, retired,
+reissues) from small deterministic runs, so any unintended timing
+change shows up as a test failure with a reviewable diff instead of a
+silent drift.  ``generator_streams.json`` holds a digest of every
+synthetic stream (see ``tests/stream_pins.py``), so any change to the
+ops a workload generates shows up the same way.
 """
 
 from __future__ import annotations
@@ -17,9 +21,9 @@ import json
 import os
 import sys
 
-sys.path.insert(
-    0, os.path.join(os.path.dirname(__file__), os.pardir, "src")
-)
+_ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+sys.path.insert(0, os.path.join(_ROOT, "src"))
+sys.path.insert(0, _ROOT)
 
 from repro.core.backend import parse_backend  # noqa: E402
 from repro.core.config import CoreConfig  # noqa: E402
@@ -32,9 +36,11 @@ from repro.perfhist.profile import (  # noqa: E402
     golden_cells,
 )
 
-GOLDEN_PATH = os.path.join(
-    os.path.dirname(__file__), os.pardir, "tests", "golden",
-    "ipc_numbers.json",
+from tests import stream_pins  # noqa: E402
+
+GOLDEN_PATH = os.path.join(_ROOT, "tests", "golden", "ipc_numbers.json")
+STREAMS_PATH = os.path.join(
+    _ROOT, "tests", "golden", "generator_streams.json"
 )
 
 #: Scenario-family pins.  Each embeds its full run geometry (unlike the
@@ -124,13 +130,19 @@ def main() -> int:
             file=sys.stderr,
         )
         return 2
-    golden = collect()
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
-    with open(GOLDEN_PATH, "w", encoding="utf-8") as handle:
-        json.dump(golden, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    print(f"\nwrote {os.path.relpath(GOLDEN_PATH)}")
+    _write(GOLDEN_PATH, collect())
+    streams = stream_pins.collect()
+    _write(STREAMS_PATH, {"ops": stream_pins.STREAM_OPS, "streams": streams})
+    print(f"{len(streams)} generator streams pinned")
     return 0
+
+
+def _write(path: str, payload: dict) -> None:
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(payload, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    print(f"\nwrote {os.path.relpath(path)}")
 
 
 if __name__ == "__main__":
