@@ -32,9 +32,6 @@ overhead without changing a single modelled event:
   ``latency >= 1``, which can never satisfy this cycle's readiness
   horizon of ``cycle + IQ->EX`` — so no same-cycle ordering change is
   possible.
-* **Fast workload generation.**  Plain profiles are regenerated by
-  :class:`~repro.workloads.fastgen.FastSyntheticTraceGenerator`, a
-  bit-identical flattened rewrite of the synthetic generator.
 
 Rare paths (flushes, memory traps, cache access, DRA operand location,
 indirect control at fetch) delegate to the inherited reference methods;
@@ -80,8 +77,6 @@ from repro.obs.events import (
     WritebackEvent,
 )
 from repro.smt import choose_fetch_thread
-from repro.workloads import SyntheticTraceGenerator
-from repro.workloads.fastgen import FastSyntheticTraceGenerator
 
 #: Execution latency by ``id(opclass)`` — identity-keyed to avoid the
 #: Python-level ``Enum.__hash__`` on every instruction.
@@ -1008,26 +1003,13 @@ _RUN_PROBE = _compile_variant(probes=True)
 class OptimizedSimulator(Simulator):
     """Drop-in :class:`Simulator` with the compiled run loop.
 
-    Construction, functional warmup, flush/trap recovery and all rare
-    paths are inherited; only workload generation (fast generators for
-    plain profiles) and the detailed run loop differ — bit-identically.
+    Construction, workload generation, functional warmup, flush/trap
+    recovery and all rare paths are inherited; only the detailed run
+    loop differs — bit-identically.
     """
 
     def __init__(self, config, profiles, seed: int = 0):
         super().__init__(config, profiles, seed=seed)
-        for thread in self.threads:
-            generator = thread.generator
-            # exact-type check: scenario engines and subclasses keep
-            # their own (possibly stateful) generation path untouched
-            if type(generator) is SyntheticTraceGenerator:
-                fast = FastSyntheticTraceGenerator(
-                    generator.profile,
-                    seed=generator.seed,
-                    thread=generator.thread,
-                    page_bytes=generator.page_bytes,
-                )
-                thread.generator = fast
-                thread._ops = fast.stream()
         self._run_impl = _RUN_NOPROBE
 
     def attach_obs(self, bus) -> None:
@@ -1043,53 +1025,3 @@ class OptimizedSimulator(Simulator):
         max_cycles: Optional[int] = None,
     ) -> CoreStats:
         return self._run_impl(self, instructions, warmup, max_cycles)
-
-    def _functional_stream(self, ops_per_thread: int) -> None:
-        # Same call sequence as the reference implementation (so warmup
-        # stays bit-identical), with the loop-invariant lookups hoisted;
-        # the sampled backend leans on this for fast-forward gaps.
-        BRANCH = OpClass.BRANCH
-        CALL = OpClass.CALL
-        RETURN = OpClass.RETURN
-        JUMP = OpClass.JUMP
-        LOAD = OpClass.LOAD
-        fetch = self.hierarchy.fetch
-        load = self.hierarchy.load
-        store = self.hierarchy.store
-        predict = self.predictor.predict
-        update = self.predictor.update
-        install = self.btb.install
-        line_predictor = self.line_predictor
-        for thread in self.threads:
-            replay = thread.replay
-            ops_next = thread.generator.next_op
-            ras_push = thread.ras.push
-            ras_pop = thread.ras.pop
-            for i in range(ops_per_thread):
-                op = replay.popleft() if replay else ops_next()
-                opclass = op.opclass
-                if not i & 3:
-                    fetch(op.pc)
-                if line_predictor is not None:
-                    if thread.last_taken_pc is not None:
-                        line_predictor.observe(thread.last_taken_pc, op.pc)
-                        thread.last_taken_pc = None
-                    if opclass.is_control and op.taken:
-                        thread.last_taken_pc = op.pc
-                if opclass is BRANCH:
-                    predict(op.pc)
-                    update(op.pc, op.taken)
-                    if op.taken:
-                        install(op.pc, op.target)
-                elif opclass is CALL:
-                    ras_push(op.pc + 4)
-                    install(op.pc, op.target)
-                elif opclass is RETURN:
-                    ras_pop()
-                elif opclass is JUMP:
-                    install(op.pc, op.target)
-                elif opclass.is_memory:
-                    if opclass is LOAD:
-                        load(op.address)
-                    else:
-                        store(op.address)

